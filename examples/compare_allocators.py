@@ -13,25 +13,12 @@ percentage, and core allocation time.
 
 import sys
 
-from repro.allocators import (
-    GraphColoring,
-    PolettoLinearScan,
-    SecondChanceBinpacking,
-    TwoPassBinpacking,
-)
-from repro.pipeline import run_allocator
+from repro.allocators import make_allocator
+from repro.pm.batch import compare_allocators
 from repro.sim import simulate
-from repro.sim.machine import outputs_equal
 from repro.stats.report import format_table
 from repro.target import alpha, tiny
 from repro.workloads.programs import PROGRAM_NAMES, build_program
-
-ALLOCATORS = [
-    SecondChanceBinpacking,
-    TwoPassBinpacking,
-    GraphColoring,
-    PolettoLinearScan,
-]
 
 
 def main() -> None:
@@ -48,22 +35,20 @@ def main() -> None:
     print(f"reference run: {reference.dynamic_instructions:,} dynamic "
           f"instructions, output {reference.output[:4]}...")
 
+    # One cell payload per allocator, each already checked against the
+    # unallocated module's output (a mismatch raises OracleMismatch).
+    cells = compare_allocators(module, machine)
+    baseline_cycles = next(cell["cycles"] for cell in cells
+                           if cell["allocator"] == "coloring")
     rows = []
-    for factory in ALLOCATORS:
-        allocator = factory()
-        result = run_allocator(module, allocator, machine)
-        outcome = simulate(result.module, machine)
-        assert outputs_equal(outcome.output, reference.output), allocator.name
-        rows.append([
-            allocator.name,
-            outcome.dynamic_instructions,
-            outcome.cycles,
-            f"{100 * outcome.spill_fraction():.2f}%",
-            f"{result.stats.alloc_seconds * 1000:.1f} ms",
-        ])
-    baseline_cycles = rows[2][2]  # graph coloring, the paper's reference
-    for row in rows:
-        row.append(row[2] / baseline_cycles)
+    for cell in cells:
+        spill = cell["total_spill"] / cell["dynamic_instructions"]
+        rows.append([make_allocator(cell["allocator"]).name,
+                     cell["dynamic_instructions"],
+                     cell["cycles"],
+                     f"{100 * spill:.2f}%",
+                     f"{cell['alloc_seconds'] * 1000:.1f} ms",
+                     cell["cycles"] / baseline_cycles])
 
     print()
     print(format_table(

@@ -46,13 +46,12 @@ from repro.ir.printer import print_module
 from repro.lang import compile_minic
 from repro.obs import (JsonlSink, MetricsRegistry, PhaseProfiler,
                        RingBufferSink, TextSink, Tracer)
-from repro.pipeline import run_allocator
-from repro.pm.batch import compare_allocators
+from repro.pm import CompilationSession
+from repro.pm.batch import OracleMismatch, compare_allocators
 from repro.sim import simulate
-from repro.sim.machine import outputs_equal
 from repro.spill import DEFAULT_CONTEXT, STRESS_MODES, AllocationContext
 from repro.stats.report import format_table
-from repro.target import alpha, tiny
+from repro.target import machine_from_spec
 
 ALLOCATORS = ALLOCATOR_FACTORIES
 
@@ -67,11 +66,10 @@ def _context(args: argparse.Namespace) -> AllocationContext:
 
 
 def _machine(name: str):
-    if name == "alpha":
-        return alpha()
-    if name == "tiny":
-        return tiny(8, 8)
-    raise SystemExit(f"unknown machine {name!r} (alpha or tiny)")
+    try:
+        return machine_from_spec(name)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
 
 
 def _load_module(path: str, machine):
@@ -117,9 +115,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     module = _load_module(args.file, machine)
     allocator = ALLOCATORS[args.allocator]()
     with _TraceOut(args) as out:
-        result = run_allocator(module, allocator, machine,
-                               spill_cleanup=args.spill_cleanup,
-                               trace=out.tracer(), context=_context(args))
+        result = CompilationSession(module, machine).run(
+            allocator, spill_cleanup=args.spill_cleanup,
+            trace=out.tracer(), context=_context(args))
     outcome = simulate(result.module, machine)
     for value in outcome.output:
         print(value)
@@ -138,9 +136,9 @@ def cmd_compile(args: argparse.Namespace) -> int:
         return 0
     allocator = ALLOCATORS[args.allocator]()
     with _TraceOut(args) as out:
-        result = run_allocator(module, allocator, machine,
-                               spill_cleanup=args.spill_cleanup,
-                               trace=out.tracer(), context=_context(args))
+        result = CompilationSession(module, machine).run(
+            allocator, spill_cleanup=args.spill_cleanup,
+            trace=out.tracer(), context=_context(args))
     print(print_module(result.module))
     return 0
 
@@ -148,17 +146,19 @@ def cmd_compile(args: argparse.Namespace) -> int:
 def _comparison(module, machine, spill_cleanup: bool,
                 trace: Tracer | None = None, jobs: int = 1,
                 context: AllocationContext = DEFAULT_CONTEXT) -> str:
-    reference = simulate(module, machine)
-    cells = compare_allocators(module, machine, spill_cleanup=spill_cleanup,
-                               jobs=jobs, trace=trace, context=context)
+    try:
+        cells = compare_allocators(module, machine,
+                                   spill_cleanup=spill_cleanup, jobs=jobs,
+                                   trace=trace, context=context)
+    except OracleMismatch as exc:
+        raise SystemExit(str(exc))
     rows = []
     for cell in cells:
-        if not outputs_equal(cell.output, reference.output):
-            raise SystemExit(
-                f"{cell.allocator}: allocation changed program output!")
-        rows.append([cell.allocator, cell.dynamic_instructions, cell.cycles,
-                     f"{100 * cell.spill_fraction:.2f}%",
-                     f"{cell.alloc_seconds * 1000:.1f}"])
+        dynamic = cell["dynamic_instructions"]
+        spill = cell["total_spill"] / dynamic if dynamic else 0.0
+        rows.append([cell["allocator"], dynamic, cell["cycles"],
+                     f"{100 * spill:.2f}%",
+                     f"{cell['alloc_seconds'] * 1000:.1f}"])
     return format_table(
         ["allocator", "dyn instrs", "cycles", "spill%", "alloc ms"], rows)
 
@@ -225,9 +225,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
         if tracer is None:
             # --quiet without --trace-out: count events, print nothing.
             tracer = Tracer([RingBufferSink()])
-        result = run_allocator(module, allocator, machine,
-                               spill_cleanup=args.spill_cleanup,
-                               trace=tracer, context=_context(args))
+        result = CompilationSession(module, machine).run(
+            allocator, spill_cleanup=args.spill_cleanup, trace=tracer,
+            context=_context(args))
     rows = [[kind.value, count] for kind, count in tracer.counts.items()]
     print(format_table(["event", "count"], rows,
                        title=f"event summary: {allocator.name}"))
@@ -249,10 +249,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
     # counters (pm.*) render alongside the allocator's own.
     metrics = MetricsRegistry()
     with _TraceOut(args) as out:
-        result = run_allocator(module, allocator, machine,
-                               spill_cleanup=args.spill_cleanup,
-                               profiler=profiler, trace=out.tracer(),
-                               metrics=metrics, context=_context(args))
+        result = CompilationSession(module, machine, metrics=metrics).run(
+            allocator, spill_cleanup=args.spill_cleanup, profiler=profiler,
+            trace=out.tracer(), metrics=metrics, context=_context(args))
     stats = result.stats
     print(profiler.render(title=f"phase profile: {allocator.name}"))
     print(f"alloc_seconds = {stats.alloc_seconds * 1e3:.3f} ms "

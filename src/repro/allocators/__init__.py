@@ -24,6 +24,7 @@ from repro.allocators.base import (
     allocate_module,
 )
 from repro.allocators.binpack import SecondChanceBinpacking, TwoPassBinpacking
+from repro.allocators.binpack.allocator import BinpackOptions
 from repro.allocators.coloring import GraphColoring
 from repro.allocators.linearscan import PolettoLinearScan
 
@@ -38,8 +39,15 @@ ALLOCATOR_FACTORIES: dict[str, type[RegisterAllocator]] = {
 }
 
 
-def make_allocator(name: str) -> RegisterAllocator:
-    """Construct a fresh allocator from its registry name."""
+def make_allocator(name: str, options: tuple[tuple[str, bool], ...] = ()
+                   ) -> RegisterAllocator:
+    """Construct a fresh allocator from its registry name.
+
+    ``options`` are :class:`~repro.allocators.binpack.BinpackOptions`
+    deviations as ``(field, value)`` pairs — the picklable form the suite
+    cells and the fuzz grid carry — and apply only to second-chance
+    binpacking.
+    """
     try:
         factory = ALLOCATOR_FACTORIES[name]
     except KeyError:
@@ -47,7 +55,12 @@ def make_allocator(name: str) -> RegisterAllocator:
             f"unknown allocator {name!r} "
             f"(choose from {', '.join(sorted(ALLOCATOR_FACTORIES))})"
         ) from None
-    return factory()
+    if not options:
+        return factory()
+    if factory is not SecondChanceBinpacking:
+        raise ValueError(f"BinpackOptions apply only to the second-chance "
+                         f"allocator, not {name!r}")
+    return SecondChanceBinpacking(BinpackOptions(**dict(options)))
 
 
 __all__ = [

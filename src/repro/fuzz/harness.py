@@ -26,16 +26,13 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
-from repro.allocators import (GraphColoring, PolettoLinearScan,
-                              SecondChanceBinpacking, TwoPassBinpacking)
-from repro.allocators.base import AllocationError, RegisterAllocator
-from repro.allocators.binpack.allocator import BinpackOptions
+from repro.allocators import make_allocator
+from repro.allocators.base import AllocationError
 from repro.fuzz.generate import GeneratedProgram, program_for_seed
 from repro.fuzz.shrink import reference_outcome, shrink_module
 from repro.ir.module import Module
 from repro.ir.printer import print_module
 from repro.passes.verify_alloc import AllocationVerifyError
-from repro.pipeline import run_allocator
 from repro.pm.batch import run_batch
 from repro.pm.session import CompilationSession
 from repro.sim import SimulationError, outputs_equal, simulate
@@ -49,7 +46,9 @@ class FuzzConfig:
 
     name: str
     allocator: str  # "second-chance" | "two-pass" | "coloring" | "poletto"
-    options: BinpackOptions | None = None
+    #: ``BinpackOptions`` deviations as ``(field, value)`` pairs (see
+    #: :func:`repro.allocators.make_allocator`).
+    options: tuple[tuple[str, bool], ...] = ()
     context: AllocationContext = DEFAULT_CONTEXT
 
     def for_seed(self, seed: int) -> "FuzzConfig":
@@ -62,36 +61,24 @@ class FuzzConfig:
         return dataclasses.replace(self,
                                    context=self.context.with_seed(seed))
 
-    def make(self) -> RegisterAllocator:
-        if self.allocator == "second-chance":
-            return SecondChanceBinpacking(self.options or BinpackOptions())
-        if self.allocator == "two-pass":
-            return TwoPassBinpacking()
-        if self.allocator == "coloring":
-            return GraphColoring()
-        if self.allocator == "poletto":
-            return PolettoLinearScan()
-        raise ValueError(f"unknown allocator {self.allocator!r}")
-
 
 CONFIG_GRID: tuple[FuzzConfig, ...] = (
     FuzzConfig("sc-default", "second-chance"),
-    FuzzConfig("sc-no-holes", "second-chance",
-               BinpackOptions(use_holes=False)),
+    FuzzConfig("sc-no-holes", "second-chance", (("use_holes", False),)),
     FuzzConfig("sc-no-early2c", "second-chance",
-               BinpackOptions(early_second_chance=False)),
+               (("early_second_chance", False),)),
     FuzzConfig("sc-no-moveelim", "second-chance",
-               BinpackOptions(move_elimination=False)),
+               (("move_elimination", False),)),
     FuzzConfig("sc-no-avoid-stores", "second-chance",
-               BinpackOptions(avoid_consistent_stores=False)),
+               (("avoid_consistent_stores", False),)),
     FuzzConfig("sc-conservative", "second-chance",
-               BinpackOptions(conservative_consistency=True)),
+               (("conservative_consistency", True),)),
     FuzzConfig("sc-no-holes-conservative", "second-chance",
-               BinpackOptions(use_holes=False, conservative_consistency=True)),
+               (("use_holes", False), ("conservative_consistency", True))),
     FuzzConfig("sc-minimal", "second-chance",
-               BinpackOptions(use_holes=False, early_second_chance=False,
-                              move_elimination=False,
-                              avoid_consistent_stores=False)),
+               (("use_holes", False), ("early_second_chance", False),
+                ("move_elimination", False),
+                ("avoid_consistent_stores", False))),
     FuzzConfig("two-pass", "two-pass"),
     FuzzConfig("coloring", "coloring"),
     FuzzConfig("poletto", "poletto"),
@@ -152,13 +139,16 @@ def check_config(module: Module, machine: MachineDescription,
     Returns ``("skip", reason)`` when the machine is legitimately too
     small, otherwise ``(kind, message)`` describing the divergence.
     ``ref`` is the oracle outcome for the unallocated ``module``.
-    ``session`` lets all eleven grid configurations share one analysis
-    cache and one DCE'd base module (see :mod:`repro.pm`).
+    ``session`` (a :class:`~repro.pm.session.CompilationSession` over
+    ``module``; a private one when omitted) lets all eleven grid
+    configurations share one analysis cache and one DCE'd base module.
     """
+    if session is None:
+        session = CompilationSession(module, machine)
     try:
-        result = run_allocator(module, config.make(), machine,
-                               verify_dataflow=True, session=session,
-                               context=config.context)
+        result = session.run(
+            make_allocator(config.allocator, config.options),
+            verify_dataflow=True, context=config.context)
     except AllocationError as exc:
         return ("skip", str(exc))
     except AllocationVerifyError as exc:

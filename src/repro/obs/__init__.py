@@ -11,12 +11,13 @@ Three independent layers, all cheap enough to leave compiled in:
   core's ``alloc_seconds`` is measured through this profiler.
 * :mod:`repro.obs.metrics` — a flat counters registry every allocator,
   the pipeline, and the simulator publish into, with ``snapshot()`` /
-  ``diff()`` for before/after comparisons.
+  ``diff()`` for before/after comparisons, and the one
+  :func:`~repro.obs.metrics.quantile` every latency summary uses.
 
 See ``docs/OBSERVABILITY.md`` for the event taxonomy and examples.
 """
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, quantile
 from repro.obs.profile import PhaseProfiler
 from repro.obs.trace import (
     NULL_TRACER,
@@ -39,5 +40,6 @@ __all__ = [
     "TextSink",
     "TraceEvent",
     "Tracer",
+    "quantile",
     "read_jsonl_trace",
 ]

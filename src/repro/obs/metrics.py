@@ -20,6 +20,20 @@ from repro.stats.report import format_table
 Number = int | float
 
 
+def quantile(samples, q: float) -> float:
+    """The ``q``-quantile of ``samples`` (``0 <= q <= 1``), linearly
+    interpolated between the two closest ranks — so ``q=0.5`` is exactly
+    :func:`statistics.median`.  Every latency summary in the repository
+    (the server's ``stats`` op, the soak report) goes through here."""
+    ordered = sorted(samples)
+    if not ordered:
+        raise ValueError("quantile of an empty sample")
+    pos = q * (len(ordered) - 1)
+    low = int(pos)
+    high = min(low + 1, len(ordered) - 1)
+    return ordered[low] + (ordered[high] - ordered[low]) * (pos - low)
+
+
 class MetricsRegistry:
     """Insertion-ordered named counters (ints or floats)."""
 

@@ -7,8 +7,9 @@
   the shared state for repeated allocator runs over one module.
 * :mod:`repro.pm.passes` — :class:`~repro.pm.passes.PassManager` and the
   repo's passes wrapped with preserved-analyses declarations.
-* :mod:`repro.pm.batch` — process-pool batch compilation for the
-  comparison driver, fuzz harness and benchmarks.
+* :mod:`repro.pm.batch` — the cell engine (:func:`~repro.pm.batch.run_cell`,
+  one allocate → simulate → check → record path) and process-pool batch
+  compilation for the comparison driver, suite, service and fuzz harness.
 
 See docs/ARCHITECTURE.md for the layer diagram and the invalidation
 contract.

@@ -1,4 +1,10 @@
-"""Batch compilation: fan allocator runs out over a process pool.
+"""The cell engine and batch compilation over a process pool.
+
+:func:`run_cell` is the one allocate → simulate → check → record path:
+the allocation service (:func:`allocation_artifact`), the suite's
+quality cells and ``repro compare``/``bench``
+(:func:`compare_allocators`) are thin adapters over it, so they share
+one payload shape.
 
 Two execution strategies, chosen by ``jobs``:
 
@@ -26,17 +32,22 @@ callers must stay serial, and :func:`compare_allocators` enforces that.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from repro.allocators import ALLOCATOR_FACTORIES, make_allocator
+from repro.allocators import (ALLOCATOR_FACTORIES, RegisterAllocator,
+                              make_allocator)
 from repro.ir.module import Module
 from repro.ir.printer import print_module
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.profile import PhaseProfiler
 from repro.obs.trace import Tracer
 from repro.pm.session import CompilationSession
+from repro.results.store import content_hash
 from repro.sim import simulate
+from repro.sim.machine import outputs_equal
 from repro.spill import AllocationContext
+from repro.stats.spill import (FIGURE3_CATEGORIES, REMAT_CATEGORIES,
+                               spill_breakdown)
 from repro.target.machine import MachineDescription
 
 
@@ -57,49 +68,93 @@ def run_batch(worker: Callable[[Any], Any], payloads: Sequence[Any], *,
         return list(pool.map(worker, payloads))
 
 
-@dataclass
-class CompareCell:
-    """One allocator's row of the Table-1-style comparison — plain data,
-    safe to ship back from a worker process.
+class OracleMismatch(RuntimeError):
+    """An allocated module's output differs from the unallocated
+    module's — the allocator changed observable behaviour."""
 
-    ``module_text`` is the printed allocated module: the determinism
-    check compares these byte-for-byte between serial and parallel runs
-    (timing fields obviously differ run to run, so they are excluded
-    from any identity claim).
+
+def _phase_summary(profiler: PhaseProfiler) -> dict:
+    """The three-way split every payload embeds (plus the raw table)."""
+    phases = {name: {"calls": stat.calls,
+                     "total_s": round(stat.total_seconds, 6),
+                     "self_s": round(stat.self_seconds, 6)}
+              for name, stat in profiler.phases.items()}
+    def total(prefix: str) -> float:
+        return round(sum(stat.total_seconds
+                         for name, stat in profiler.phases.items()
+                         if name == prefix
+                         or name.startswith(prefix + ".")), 6)
+    return {"phases": phases,
+            "setup_s": total("setup"),
+            "allocate_s": total("allocate"),
+            "resolve_s": total("allocate.resolve"),
+            "pipeline_s": total("pipeline")}
+
+
+def run_cell(session: CompilationSession, allocator: RegisterAllocator, *,
+             context: AllocationContext | None, spill_cleanup: bool,
+             reference: list | None,
+             profiler: PhaseProfiler | None = None,
+             metrics: MetricsRegistry | None = None,
+             trace: Tracer | None = None) -> dict:
+    """One allocator run over ``session``'s module → one plain payload.
+
+    Runs :meth:`CompilationSession.run`, simulates the allocated module
+    (publishing the simulator's ``sim.*`` counters into the run's metrics
+    registry) and checks its output against ``reference`` — the
+    unallocated module's output — raising :class:`OracleMismatch` when
+    they differ.  ``reference`` is ``None`` only for a module without
+    ``main``, which cannot run: the payload then carries the allocation
+    alone, with no dynamic fields.
+
+    The payload: ``code`` (the allocated module text) and its
+    ``allocated_sha``; ``dynamic_instructions``, ``cycles``, ``output``,
+    ``result``, the Figure-3 ``spill_categories`` and ``total_spill``;
+    ``alloc_seconds`` (Table 3's timed core) and the static ``alloc``
+    block; the ``metrics`` snapshot and the ``profile`` phase summary.
+    Plain data — it pickles back from pool workers and serializes as is.
     """
-
-    allocator: str
-    dynamic_instructions: int
-    cycles: int
-    spill_fraction: float
-    alloc_seconds: float
-    output: list
-    result: int | float | None
-    module_text: str
-
-
-def _cell(session: CompilationSession, name: str, spill_cleanup: bool,
-          trace: Tracer | None = None,
-          context: AllocationContext | None = None) -> CompareCell:
-    result = session.run(make_allocator(name), spill_cleanup=spill_cleanup,
-                         trace=trace, context=context)
-    outcome = simulate(result.module, session.machine)
-    return CompareCell(
-        allocator=name,
-        dynamic_instructions=outcome.dynamic_instructions,
-        cycles=outcome.cycles,
-        spill_fraction=outcome.spill_fraction(),
-        alloc_seconds=result.stats.alloc_seconds,
-        output=list(outcome.output),
-        result=outcome.result,
-        module_text=print_module(result.module))
-
-
-def _compare_worker(payload) -> CompareCell:
-    """Process-pool entry: one allocator on a private session."""
-    module, machine, name, spill_cleanup, context = payload
-    return _cell(CompilationSession(module, machine), name, spill_cleanup,
-                 context=context)
+    profiler = PhaseProfiler() if profiler is None else profiler
+    metrics = MetricsRegistry() if metrics is None else metrics
+    result = session.run(allocator, spill_cleanup=spill_cleanup,
+                         trace=trace, profiler=profiler, metrics=metrics,
+                         context=context)
+    stats = result.stats
+    code = print_module(result.module)
+    payload: dict = {"code": code, "allocated_sha": content_hash(code)}
+    if reference is not None:
+        outcome = simulate(result.module, session.machine, metrics=metrics)
+        if not outputs_equal(outcome.output, reference):
+            raise OracleMismatch(
+                f"{allocator.name}: allocation changed observable behaviour "
+                f"(output {outcome.output!r} != reference {reference!r})")
+        breakdown = spill_breakdown(outcome)
+        payload.update({
+            "dynamic_instructions": outcome.dynamic_instructions,
+            "cycles": outcome.cycles,
+            "output": list(outcome.output),
+            "result": outcome.result,
+            "spill_categories": {
+                f"{phase.value}.{kind.value}": breakdown.category(phase, kind)
+                for phase, kind in FIGURE3_CATEGORIES + REMAT_CATEGORIES},
+            "total_spill": breakdown.total_spill,
+        })
+    payload.update({
+        "alloc_seconds": round(stats.alloc_seconds, 6),
+        "alloc": {
+            "candidates": stats.total_candidates(),
+            "spilled_temps": sum(stats.spilled_temps.values()),
+            "moves_eliminated": stats.moves_eliminated,
+            "interference_edges": sum(stats.interference_edges.values()),
+            "coloring_rounds": sum(stats.coloring_iterations.values()),
+            "dataflow_iterations": sum(stats.dataflow_iterations.values()),
+            "dce_removed": result.dce_removed,
+            "moves_removed": result.moves_removed,
+        },
+        "metrics": metrics.snapshot(),
+        "profile": _phase_summary(profiler),
+    })
+    return payload
 
 
 def allocation_artifact(payload: dict) -> dict:
@@ -110,9 +165,8 @@ def allocation_artifact(payload: dict) -> dict:
     with ``ir`` (printed IR text) *or* ``minic`` (source), plus
     ``machine`` (spec string), ``allocator``, ``context`` (canonical
     :meth:`~repro.spill.AllocationContext.describe` form), and
-    ``spill_cleanup``.  The result carries the allocated module text,
-    Figure-3 spill categories, dynamic counts, the metrics snapshot and
-    the phase profile — everything :mod:`repro.serve` streams back.
+    ``spill_cleanup``.  The artifact is the :func:`run_cell` payload plus
+    those request fields echoed back.
 
     Failures are *returned*, not raised (``{"error": {"code",
     "message"}}``), so a bad request cannot poison the worker process
@@ -122,21 +176,18 @@ def allocation_artifact(payload: dict) -> dict:
     """
     from repro.ir.parser import parse_module
     from repro.lang import compile_minic
-    from repro.obs.profile import PhaseProfiler
-    from repro.results.suite import (_phase_summary, machine_from_spec)
-    from repro.sim.machine import outputs_equal
-    from repro.spill import AllocationContext
-    from repro.stats.spill import (FIGURE3_CATEGORIES, REMAT_CATEGORIES,
-                                   spill_breakdown)
+    from repro.target import machine_from_spec
 
     def failure(code: str, exc: BaseException) -> dict:
         return {"error": {"code": code,
                           "message": f"{type(exc).__name__}: {exc}"}}
 
+    name = payload.get("allocator", "second-chance")
+    spill_cleanup = bool(payload.get("spill_cleanup"))
     try:
         machine = machine_from_spec(payload.get("machine", "alpha"))
         context = AllocationContext.parse(payload.get("context", ""))
-        allocator = make_allocator(payload.get("allocator", "second-chance"))
+        allocator = make_allocator(name)
     except Exception as exc:
         return failure("bad-request", exc)
     try:
@@ -147,51 +198,24 @@ def allocation_artifact(payload: dict) -> dict:
     except Exception as exc:
         return failure("parse-error", exc)
     try:
-        runnable = "main" in module.functions
-        reference = simulate(module, machine) if runnable else None
-        session = CompilationSession(module, machine)
-        metrics = MetricsRegistry()
-        profiler = PhaseProfiler()
-        result = session.run(allocator,
-                             spill_cleanup=bool(payload.get("spill_cleanup")),
-                             profiler=profiler, metrics=metrics,
-                             context=context)
-        outcome = None
-        if runnable:
-            # Publish the allocated run's dynamic counts (sim.decode.*,
-            # sim.frames.*, sim.op.*) into the same registry, so the
-            # artifact's metrics snapshot covers simulation too.
-            outcome = simulate(result.module, machine, metrics=metrics)
-            if not outputs_equal(outcome.output, reference.output):
-                raise RuntimeError("allocation changed observable behaviour "
-                                   "(differential oracle mismatch)")
-        artifact = {
-            "code": print_module(result.module),
-            "allocator": payload.get("allocator", "second-chance"),
-            "machine": payload.get("machine", "alpha"),
-            "context": context.describe(),
-            "spill_cleanup": bool(payload.get("spill_cleanup")),
-            "alloc_seconds": round(result.stats.alloc_seconds, 6),
-            "dce_removed": result.dce_removed,
-            "moves_removed": result.moves_removed,
-            "metrics": metrics.snapshot(),
-            "profile": _phase_summary(profiler),
-        }
-        if runnable:
-            breakdown = spill_breakdown(outcome)
-            artifact.update({
-                "dynamic_instructions": outcome.dynamic_instructions,
-                "cycles": outcome.cycles,
-                "result": outcome.result,
-                "spill_categories": {
-                    f"{phase.value}.{kind.value}":
-                        breakdown.category(phase, kind)
-                    for phase, kind in FIGURE3_CATEGORIES + REMAT_CATEGORIES},
-                "total_spill": breakdown.total_spill,
-            })
-        return artifact
+        reference = (simulate(module, machine).output
+                     if "main" in module.functions else None)
+        cell = run_cell(CompilationSession(module, machine), allocator,
+                        context=context, spill_cleanup=spill_cleanup,
+                        reference=reference)
     except Exception as exc:
         return failure("alloc-error", exc)
+    return {"allocator": name, "machine": payload.get("machine", "alpha"),
+            "context": context.describe(), "spill_cleanup": spill_cleanup,
+            **cell}
+
+
+def _run_cell_worker(payload) -> dict:
+    """Process-pool entry: :func:`run_cell` on a private session."""
+    module, machine, name, spill_cleanup, context, reference = payload
+    return run_cell(CompilationSession(module, machine), make_allocator(name),
+                    context=context, spill_cleanup=spill_cleanup,
+                    reference=reference)
 
 
 def compare_allocators(module: Module, machine: MachineDescription, *,
@@ -199,20 +223,28 @@ def compare_allocators(module: Module, machine: MachineDescription, *,
                        spill_cleanup: bool = False, jobs: int = 1,
                        trace: Tracer | None = None,
                        context: AllocationContext | None = None,
-                       ) -> list[CompareCell]:
-    """Run every named allocator over ``module``; one cell per allocator.
+                       ) -> list[dict]:
+    """Run every named allocator over ``module``; one payload each.
 
-    The workhorse behind ``repro compare`` / ``repro bench``.  With
+    The workhorse behind ``repro compare`` / ``repro bench``: the
+    reference output is simulated once, here, and every allocator's
+    :func:`run_cell` is checked against it (:class:`OracleMismatch` on a
+    difference).  Each payload also carries its ``allocator`` name.  With
     ``jobs > 1`` and no tracer, allocators run in parallel worker
     processes; otherwise they share one serial session (a tracer pins the
     run serial — sinks hold open streams that cannot cross processes).
-    Cells come back in ``names`` order under either strategy.
+    Payloads come back in ``names`` order under either strategy.
     """
     names = list(names if names is not None else ALLOCATOR_FACTORIES)
+    reference = simulate(module, machine).output
     if jobs > 1 and trace is None and len(names) > 1:
-        payloads = [(module, machine, name, spill_cleanup, context)
-                    for name in names]
-        return run_batch(_compare_worker, payloads, jobs=jobs)
-    session = CompilationSession(module, machine)
-    return [_cell(session, name, spill_cleanup, trace, context)
-            for name in names]
+        cells = run_batch(_run_cell_worker,
+                          [(module, machine, name, spill_cleanup, context,
+                            reference) for name in names], jobs=jobs)
+    else:
+        session = CompilationSession(module, machine)
+        cells = [run_cell(session, make_allocator(name), context=context,
+                          spill_cleanup=spill_cleanup, reference=reference,
+                          trace=trace)
+                 for name in names]
+    return [{"allocator": name, **cell} for name, cell in zip(names, cells)]

@@ -1,8 +1,8 @@
 """Compilation sessions: one pristine module, many cheap allocator runs.
 
-A :class:`CompilationSession` owns everything the old ``run_allocator``
-re-created per call: the pre-allocation module, the DCE'd form of it,
-and every setup analysis.  Each :meth:`run` then costs one structural
+A :class:`CompilationSession` is the one way to run an allocator: it
+owns the pre-allocation module, the DCE'd form of it, and every setup
+analysis.  Each :meth:`run` then costs one structural
 :meth:`~repro.ir.module.Module.clone` (no ``copy.deepcopy``) plus the
 allocator core — the shared analyses are computed at most once per
 function per session and *transferred* onto each run's clone through the
@@ -11,9 +11,9 @@ clone's instruction map (see :mod:`repro.pm.analysis`).
 This is the paper's Section 3.2 methodology made load-bearing: Table 3
 times "only the core parts of the allocators ... after setup activities
 common to both allocators", and the session is the object that makes the
-setup activities actually common — the comparison driver, the fuzz
-harness's ablation grid, and the benchmark harness all run every
-allocator out of one session.
+setup activities actually common — the cell engine
+(:func:`repro.pm.batch.run_cell`), the fuzz harness's ablation grid, and
+the benchmark harness all run every allocator out of one session.
 """
 
 from __future__ import annotations
@@ -127,8 +127,8 @@ class CompilationSession:
     # ------------------------------------------------------------------
     def shared(self, fn, profiler: PhaseProfiler | None = None):
         """The :class:`~repro.allocators.base.SharedAnalyses` for ``fn``,
-        served from the session cache (``allocate_module`` calls this in
-        place of ``SharedAnalyses.build`` when given a session)."""
+        served from the session cache — the only place
+        ``allocate_module`` gets its setup analyses from."""
         from repro.allocators.base import SharedAnalyses
 
         return SharedAnalyses(
@@ -147,16 +147,25 @@ class CompilationSession:
             profiler: PhaseProfiler | None = None,
             metrics: MetricsRegistry | None = None,
             context: "AllocationContext | None" = None) -> PipelineResult:
-        """Clone the prepared module, allocate, clean up, verify, report.
+        """Clone the prepared module, run DCE → allocation → peephole,
+        verify, report — the paper's Section 3 pipeline, with everything
+        except the allocator held fixed.
 
-        Same contract and flags as :func:`repro.pipeline.run_allocator`
-        (which delegates here); ``trace``/``profiler``/``metrics`` are
-        per-run observability objects, reachable afterwards through the
-        returned ``stats``.  ``context`` configures rematerialization and
-        the seeded stress modes (default: the inert
-        :data:`~repro.spill.DEFAULT_CONTEXT`) — session analyses are
-        context-independent, so runs under different contexts still share
-        one cache.
+        ``spill_cleanup`` additionally runs the post-allocation spill-code
+        cleanup the paper sketches as future work (store-to-load
+        forwarding and dead spill-store elimination) — off by default so
+        measurements reflect the paper's pipeline.  ``verify_dataflow``
+        additionally runs the path-sensitive dataflow verifier right after
+        allocation, before cleanup and the peephole rewrite its output; it
+        assumes every source temporary is defined before use on every
+        path, which hand-written IR need not guarantee, so it is opt-in.
+
+        ``trace``/``profiler``/``metrics`` are per-run observability
+        objects, reachable afterwards through the returned ``stats``.
+        ``context`` configures rematerialization and the seeded stress
+        modes (default: the inert :data:`~repro.spill.DEFAULT_CONTEXT`) —
+        session analyses are context-independent, so runs under different
+        contexts still share one cache.
         """
         prof = profiler or PhaseProfiler()
         with prof.phase("pipeline.dce"):

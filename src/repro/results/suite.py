@@ -29,9 +29,9 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass, field
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import PhaseProfiler
 from repro.results.store import CellKey, Record, ResultStore, content_hash
+from repro.target import machine_from_spec
 
 #: The quality-table analog subsets (mirrors ``REPRO_BENCH_SET``).
 FAST_SET = ["doduc", "fpppp", "compress", "m88ksim", "sort"]
@@ -68,24 +68,12 @@ ABLATION_CONFIGS: dict[str, tuple[str, tuple[tuple[str, bool], ...], bool]] = {
 
 
 class SuiteError(RuntimeError):
-    """A cell failed to execute (oracle mismatch, unknown spec, ...)."""
+    """A cell spec is malformed (unknown workload, order, ...)."""
 
 
 # ----------------------------------------------------------------------
 # Workload construction (pure functions of the spec strings).
 # ----------------------------------------------------------------------
-def machine_from_spec(spec: str):
-    from repro.target import alpha, tiny
-
-    if spec == "alpha":
-        return alpha()
-    if spec.startswith("tiny:"):
-        gpr, _, fpr = spec[len("tiny:"):].partition("x")
-        return tiny(int(gpr), int(fpr))
-    raise SuiteError(f"unknown machine spec {spec!r} "
-                     "(alpha, tiny:<G>x<F>, or auto for fuzz workloads)")
-
-
 def build_workload(workload: str, machine_spec: str, order: str):
     """Build ``(module, machine)`` for one cell, block order applied.
 
@@ -154,106 +142,43 @@ def cell_code_hash(module_text: str, machine) -> str:
     return content_hash(module_text, machine_signature(machine))
 
 
-def _allocator_for(key: CellKey):
-    from repro.allocators import make_allocator
-    from repro.allocators.binpack.allocator import (BinpackOptions,
-                                                    SecondChanceBinpacking)
-
-    if key.options and key.allocator != "second-chance":
-        raise SuiteError(f"{key.ident()}: BinpackOptions apply only to the "
-                         "second-chance allocator")
-    if key.options:
-        return SecondChanceBinpacking(BinpackOptions(**dict(key.options)))
-    return make_allocator(key.allocator)
-
-
 # ----------------------------------------------------------------------
 # Cell execution (module-level, picklable: process-pool workers).
 # ----------------------------------------------------------------------
-def _phase_summary(profiler: PhaseProfiler) -> dict:
-    """The three-way split every record embeds (plus the raw table)."""
-    phases = {name: {"calls": stat.calls,
-                     "total_s": round(stat.total_seconds, 6),
-                     "self_s": round(stat.self_seconds, 6)}
-              for name, stat in profiler.phases.items()}
-    def total(prefix: str) -> float:
-        return round(sum(stat.total_seconds
-                         for name, stat in profiler.phases.items()
-                         if name == prefix
-                         or name.startswith(prefix + ".")), 6)
-    return {"phases": phases,
-            "setup_s": total("setup"),
-            "allocate_s": total("allocate"),
-            "resolve_s": total("allocate.resolve"),
-            "pipeline_s": total("pipeline")}
-
-
 def execute_cell(payload: tuple) -> dict:
     """Process-pool worker: compute one cell's record payload.
 
     The payload is ``(key-as-json, code_hash)``; the returned dict is the
-    record's ``data``.  Pure: no store access, no global state — worker
-    metrics come back via ``MetricsRegistry.snapshot()`` and are restored
-    by the parent (see :meth:`MetricsRegistry.restore`).
+    record's ``data`` — for a quality cell, the
+    :func:`repro.pm.batch.run_cell` payload without the allocated
+    ``code`` (its ``allocated_sha`` stays).  Pure: no store access, no
+    global state — worker metrics come back via
+    ``MetricsRegistry.snapshot()`` and are restored by the parent (see
+    :meth:`MetricsRegistry.restore`).
     """
+    from repro.allocators import make_allocator
+    from repro.pm.batch import run_cell
+    from repro.pm.session import CompilationSession
+    from repro.sim import simulate
+    from repro.spill import AllocationContext
+
     key_doc, code_hash = payload
     key = CellKey.from_json(key_doc)
     module, machine = build_workload(key.workload, key.machine, key.order)
     if key.kind == "timing":
         return _execute_timing(key, module, machine)
-    return _execute_quality(key, module, machine)
-
-
-def _execute_quality(key: CellKey, module, machine) -> dict:
-    from repro.ir.printer import print_module
-    from repro.pm.session import CompilationSession
-    from repro.sim import simulate
-    from repro.sim.machine import outputs_equal
-    from repro.spill import AllocationContext
-    from repro.stats.spill import (FIGURE3_CATEGORIES, REMAT_CATEGORIES,
-                                   spill_breakdown)
-
-    reference = simulate(module, machine)
-    session = CompilationSession(module, machine)
-    metrics = MetricsRegistry()
-    profiler = PhaseProfiler()
-    result = session.run(_allocator_for(key),
-                         spill_cleanup=key.spill_cleanup,
-                         profiler=profiler, metrics=metrics,
-                         context=AllocationContext.parse(key.context))
-    outcome = simulate(result.module, machine)
-    if not outputs_equal(outcome.output, reference.output):
-        raise SuiteError(f"{key.ident()}: allocation changed observable "
-                         "behaviour")
-    breakdown = spill_breakdown(outcome)
-    stats = result.stats
-    return {
-        "dynamic_instructions": outcome.dynamic_instructions,
-        "cycles": outcome.cycles,
-        "result": outcome.result,
-        "spill_categories": {
-            f"{phase.value}.{kind.value}": breakdown.category(phase, kind)
-            for phase, kind in FIGURE3_CATEGORIES + REMAT_CATEGORIES},
-        "total_spill": breakdown.total_spill,
-        "allocated_sha": content_hash(print_module(result.module)),
-        "alloc": {
-            "alloc_seconds": round(stats.alloc_seconds, 6),
-            "candidates": stats.total_candidates(),
-            "spilled_temps": sum(stats.spilled_temps.values()),
-            "moves_eliminated": stats.moves_eliminated,
-            "interference_edges": sum(stats.interference_edges.values()),
-            "coloring_rounds": sum(stats.coloring_iterations.values()),
-            "dataflow_iterations": sum(stats.dataflow_iterations.values()),
-            "dce_removed": result.dce_removed,
-            "moves_removed": result.moves_removed,
-        },
-        "metrics": stats.metrics.snapshot(),
-        "profile": _phase_summary(profiler),
-    }
+    cell = run_cell(CompilationSession(module, machine),
+                    make_allocator(key.allocator, key.options),
+                    context=AllocationContext.parse(key.context),
+                    spill_cleanup=key.spill_cleanup,
+                    reference=simulate(module, machine).output)
+    del cell["code"]
+    return cell
 
 
 def _execute_timing(key: CellKey, module, machine) -> dict:
     """Table 3's protocol: warm session, ``reps`` timed core runs."""
+    from repro.allocators import make_allocator
     from repro.allocators.base import allocate_module
     from repro.pm.session import CompilationSession
 
@@ -266,8 +191,9 @@ def _execute_timing(key: CellKey, module, machine) -> dict:
     for _ in range(max(1, key.reps)):
         working = session.clone_base()
         profiler = PhaseProfiler()
-        stats = allocate_module(working, _allocator_for(key), machine,
-                                profiler=profiler, session=session)
+        stats = allocate_module(working,
+                                make_allocator(key.allocator, key.options),
+                                machine, profiler=profiler, session=session)
         samples.append(stats)
         setup_samples.append(profiler.seconds("setup"))
     stats = samples[-1]

@@ -36,7 +36,10 @@ from repro.results.store import CellKey, ResultStore, content_hash
 #: Bumped when the artifact payload layout changes incompatibly; old
 #: cache entries then miss and are recomputed, never misread.
 #: v2: the metrics snapshot gained the simulation counters (``sim.*``).
-ARTIFACT_SCHEMA = 2
+#: v3: the artifact is the cell engine's payload (``run_cell``): it gained
+#: ``allocated_sha``, ``output`` and the static ``alloc`` block, which now
+#: holds ``dce_removed``/``moves_removed``.
+ARTIFACT_SCHEMA = 3
 
 
 def artifact_cache_key(request: dict) -> tuple[CellKey, str]:
@@ -46,7 +49,8 @@ def artifact_cache_key(request: dict) -> tuple[CellKey, str]:
     Pure and ``PYTHONHASHSEED``-independent: the same request always
     maps to the same cell, in any process, on any day.
     """
-    from repro.results.suite import machine_from_spec, machine_signature
+    from repro.results.suite import machine_signature
+    from repro.target import machine_from_spec
 
     source_kind = "ir" if request.get("ir") else "minic"
     source = request.get("ir") or request.get("minic", "")

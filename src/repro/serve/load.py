@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import json
 import random
-import statistics
 import threading
 import time
 
+from repro.obs.metrics import quantile
 from repro.serve.client import ServeClient, ServeError
 
 
@@ -87,23 +87,17 @@ class LoadReport:
         answered = self.hits + self.misses
         return self.hits / answered if answered else 0.0
 
-    def _quantile(self, q: float) -> float:
-        if not self.latencies:
-            return 0.0
-        ordered = sorted(self.latencies)
-        return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
-
     @property
     def median_s(self) -> float:
-        return statistics.median(self.latencies) if self.latencies else 0.0
+        return quantile(self.latencies, 0.50) if self.latencies else 0.0
 
     @property
     def p90_s(self) -> float:
-        return self._quantile(0.90)
+        return quantile(self.latencies, 0.90) if self.latencies else 0.0
 
     @property
     def p99_s(self) -> float:
-        return self._quantile(0.99)
+        return quantile(self.latencies, 0.99) if self.latencies else 0.0
 
     @property
     def throughput(self) -> float:

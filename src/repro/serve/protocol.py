@@ -87,8 +87,8 @@ def request_id(doc: Any) -> Any:
 
 def _validate_allocate(doc: dict) -> dict:
     from repro.allocators import ALLOCATOR_FACTORIES
-    from repro.results.suite import SuiteError, machine_from_spec
     from repro.spill import AllocationContext
+    from repro.target import machine_from_spec
 
     ir = doc.get("ir", "")
     minic = doc.get("minic", "")
@@ -104,7 +104,7 @@ def _validate_allocate(doc: dict) -> dict:
     machine = doc.get("machine", "alpha")
     try:
         machine_from_spec(machine)
-    except (SuiteError, ValueError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise ProtocolError("bad-request", str(exc))
     allocator = doc.get("allocator", "second-chance")
     if allocator not in ALLOCATOR_FACTORIES:

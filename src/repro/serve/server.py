@@ -39,7 +39,7 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, quantile
 from repro.pm.batch import allocation_artifact
 from repro.serve.cache import AllocationCache, artifact_cache_key
 from repro.serve.protocol import (MAX_LINE_BYTES, PROTOCOL_VERSION,
@@ -48,21 +48,6 @@ from repro.serve.protocol import (MAX_LINE_BYTES, PROTOCOL_VERSION,
 
 #: Latency samples kept for the ``stats`` op's percentile summary.
 MAX_LATENCY_SAMPLES = 100_000
-
-
-def _percentiles(samples: list[float]) -> dict:
-    if not samples:
-        return {}
-    ordered = sorted(samples)
-
-    def pick(q: float) -> float:
-        return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
-
-    return {"count": len(ordered),
-            "median_s": round(pick(0.50), 6),
-            "p90_s": round(pick(0.90), 6),
-            "p99_s": round(pick(0.99), 6),
-            "max_s": round(ordered[-1], 6)}
 
 
 class AllocationServer:
@@ -288,12 +273,18 @@ class AllocationServer:
     # Stats.
     # ------------------------------------------------------------------
     def _stats_response(self, rid) -> dict:
+        samples = sorted(self._latencies)  # quantile's re-sorts are O(n)
+        latency = {"count": len(samples),
+                   **{f"{name}_s": round(quantile(samples, q), 6)
+                      for name, q in (("median", 0.50), ("p90", 0.90),
+                                      ("p99", 0.99), ("max", 1.0))},
+                   } if samples else {}
         return {"id": rid, "ok": True, "op": "stats",
                 "version": PROTOCOL_VERSION,
                 "uptime_s": round(time.time() - self.started_at, 3),
                 "store": str(self.cache.store.root),
                 "cache_cells": len(self.cache),
-                "latency": _percentiles(self._latencies),
+                "latency": latency,
                 "metrics": self.metrics.snapshot()}
 
     @staticmethod

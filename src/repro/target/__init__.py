@@ -1,6 +1,8 @@
 """Target machine descriptions (see :mod:`repro.target.machine`).
 
-Two factories cover every configuration the reproduction uses:
+Two factories cover every configuration the reproduction uses, and
+:func:`machine_from_spec` names them by string for the CLI, the suite
+and the allocation service:
 
 * :func:`alpha` — the paper's 32+32-register Alpha-like machine;
 * :func:`tiny` — scaled-down machines (the same convention shape on
@@ -13,7 +15,8 @@ from __future__ import annotations
 from repro.target.alpha import alpha
 from repro.target.machine import CYCLE_COSTS, MachineDescription, cycle_cost
 
-__all__ = ["CYCLE_COSTS", "MachineDescription", "alpha", "cycle_cost", "tiny"]
+__all__ = ["CYCLE_COSTS", "MachineDescription", "alpha", "cycle_cost",
+           "machine_from_spec", "tiny"]
 
 #: The smallest legal tiny file: return register, two parameter
 #: registers, and at least one callee-saved register.
@@ -39,3 +42,18 @@ def tiny(n_gpr: int = 8, n_fpr: int = 8) -> MachineDescription:
         gpr_callee_saved=tuple(range(min(4, n_gpr - 1), n_gpr)),
         fpr_callee_saved=tuple(range(min(4, n_fpr - 1), n_fpr)),
         gpr_ret=0, fpr_ret=0)
+
+
+def machine_from_spec(spec: str) -> MachineDescription:
+    """The machine a spec string names: ``alpha``, ``tiny:<G>x<F>``, or
+    ``tiny`` (an alias for ``tiny:8x8``).  Raises :class:`ValueError` on
+    anything else — the one error every entry point reports."""
+    if spec == "alpha":
+        return alpha()
+    if spec == "tiny":
+        return tiny(8, 8)
+    if isinstance(spec, str) and spec.startswith("tiny:"):
+        gpr, _, fpr = spec[len("tiny:"):].partition("x")
+        return tiny(int(gpr), int(fpr))
+    raise ValueError(f"unknown machine spec {spec!r} "
+                     "(alpha, tiny, or tiny:<G>x<F>)")

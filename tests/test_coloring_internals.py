@@ -5,7 +5,7 @@ import pytest
 from repro.allocators import GraphColoring
 from repro.allocators.coloring.george_appel import _OrderedSet
 from repro.ir.printer import print_module
-from repro.pipeline import run_allocator
+from repro.pm import CompilationSession
 from repro.target import alpha, tiny
 from repro.workloads.synthetic import random_module, scaled_module
 
@@ -43,16 +43,18 @@ class TestDeterminism:
     def test_same_input_same_output(self, seed):
         machine = tiny(5, 5)
         module = random_module(seed, machine, size=20)
-        first = run_allocator(module, GraphColoring(), machine)
-        second = run_allocator(module, GraphColoring(), machine)
+        first = CompilationSession(module, machine).run(GraphColoring())
+        second = CompilationSession(module, machine).run(GraphColoring())
         assert print_module(first.module) == print_module(second.module)
 
     def test_binpack_is_deterministic_too(self):
         from repro.allocators import SecondChanceBinpacking
         machine = tiny(5, 5)
         module = random_module(23, machine, size=20)
-        first = run_allocator(module, SecondChanceBinpacking(), machine)
-        second = run_allocator(module, SecondChanceBinpacking(), machine)
+        first = CompilationSession(module, machine).run(
+            SecondChanceBinpacking())
+        second = CompilationSession(module, machine).run(
+            SecondChanceBinpacking())
         assert print_module(first.module) == print_module(second.module)
 
 
@@ -91,7 +93,7 @@ class TestSpillChoice:
         b.print_(hot)
         b.ret()
         module.add_function(fn)
-        result = run_allocator(module, GraphColoring(), machine)
+        result = CompilationSession(module, machine).run(GraphColoring())
         outcome = simulate(result.module, machine)
         assert outcome.output == [10, 100 + sum(range(1, 51))]
         # The hot loop must not contain spill code for `hot`/`counter`:
@@ -178,5 +180,5 @@ class TestInterferenceEdgePins:
         for name, expected in (("doduc", {"advance": 18, "main": 1270}),
                                ("compress", {"main": 518})):
             module = build_program(name, machine)
-            result = run_allocator(module, GraphColoring(), machine)
+            result = CompilationSession(module, machine).run(GraphColoring())
             assert dict(result.stats.interference_edges) == expected, name

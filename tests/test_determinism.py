@@ -25,6 +25,7 @@ from repro.allocators import (GraphColoring, PolettoLinearScan,
                               SecondChanceBinpacking, TwoPassBinpacking)
 from repro.ir.printer import print_module
 from repro.passes.dce import eliminate_dead_code_module
+from repro.pm import CompilationSession
 from repro.target import tiny
 from repro.workloads.synthetic import random_module
 
@@ -44,7 +45,8 @@ for name, make in (("second-chance", SecondChanceBinpacking),
         for context in contexts:
             module = random_module(seed, machine, size=35)
             eliminate_dead_code_module(module)
-            allocate_module(module, make(), machine, context=context)
+            allocate_module(module, make(), machine, context=context,
+                            session=CompilationSession(module, machine))
             print(f"=== {name} seed={seed} ctx={context.describe()} ===")
             print(print_module(module))
 """
@@ -77,6 +79,7 @@ def _allocated_text(allocator_name, context):
     from repro.allocators.base import allocate_module
     from repro.ir.printer import print_module
     from repro.passes.dce import eliminate_dead_code_module
+    from repro.pm import CompilationSession
     from repro.target import tiny
     from repro.workloads.synthetic import random_module
 
@@ -84,7 +87,8 @@ def _allocated_text(allocator_name, context):
     module = random_module(11, machine, size=40)
     eliminate_dead_code_module(module)
     allocate_module(module, ALLOCATOR_FACTORIES[allocator_name](),
-                    machine, context=context)
+                    machine, context=context,
+                    session=CompilationSession(module, machine))
     return print_module(module)
 
 

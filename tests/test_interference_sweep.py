@@ -19,7 +19,7 @@ from repro.ir.builder import FunctionBuilder
 from repro.ir.function import Function
 from repro.ir.module import Module
 from repro.ir.printer import print_module
-from repro.pipeline import run_allocator
+from repro.pm import CompilationSession
 from repro.target import alpha, tiny
 from repro.workloads.programs import PROGRAM_NAMES, build_program
 
@@ -28,7 +28,7 @@ MACHINES = [("alpha", alpha), ("tiny8", lambda: tiny(8, 8))]
 
 def _check(module, machine) -> None:
     """Allocate with both builds running + comparing every round."""
-    run_allocator(module, GraphColoring(build="check"), machine)
+    CompilationSession(module, machine).run(GraphColoring(build="check"))
 
 
 class TestBuildModes:
@@ -41,7 +41,8 @@ class TestBuildModes:
         module = build_program("compress", machine)
         texts = {}
         for mode in BUILD_MODES:
-            result = run_allocator(module, GraphColoring(build=mode), machine)
+            result = CompilationSession(module, machine).run(
+                GraphColoring(build=mode))
             texts[mode] = print_module(result.module)
         assert texts["sweep"] == texts["mask"] == texts["check"]
 

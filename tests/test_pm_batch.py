@@ -16,7 +16,8 @@ from repro.target import tiny
 from repro.workloads.programs import build_program
 
 CHECKED_FIELDS = ("allocator", "dynamic_instructions", "cycles",
-                  "spill_fraction", "output", "result", "module_text")
+                  "total_spill", "spill_categories", "output", "result",
+                  "code", "allocated_sha")
 
 
 def _square(payload):
@@ -44,11 +45,11 @@ class TestCompareAllocators:
         machine = tiny(8, 8)
         module = build_program("wc", machine)
         cells = compare_allocators(module, machine, jobs=1)
-        assert [c.allocator for c in cells] == list(ALLOCATOR_FACTORIES)
+        assert [c["allocator"] for c in cells] == list(ALLOCATOR_FACTORIES)
         reference = cells[0]
         for cell in cells:
-            assert cell.output == reference.output
-            assert cell.module_text  # allocated text captured per cell
+            assert cell["output"] == reference["output"]
+            assert cell["code"]  # allocated text captured per cell
 
     def test_parallel_matches_serial_byte_for_byte(self):
         machine = tiny(8, 8)
@@ -58,7 +59,7 @@ class TestCompareAllocators:
         assert len(serial) == len(parallel)
         for s, p in zip(serial, parallel):
             for field in CHECKED_FIELDS:
-                assert getattr(s, field) == getattr(p, field), field
+                assert s[field] == p[field], field
 
     def test_name_subset_and_spill_cleanup(self):
         machine = tiny(8, 8)
@@ -66,7 +67,8 @@ class TestCompareAllocators:
         cells = compare_allocators(module, machine,
                                    names=["coloring", "second-chance"],
                                    spill_cleanup=True, jobs=2)
-        assert [c.allocator for c in cells] == ["coloring", "second-chance"]
+        assert [c["allocator"] for c in cells] == ["coloring",
+                                                   "second-chance"]
 
     def test_unknown_allocator_name_rejected(self):
         machine = tiny(8, 8)

@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.allocators.base import SharedAnalyses
 from repro.allocators.binpack.state import MEM, BlockRecord, ScanState
 from repro.ir.builder import FunctionBuilder
 from repro.ir.function import Function
 from repro.ir.temp import PhysReg, Temp
+from repro.ir.module import Module
 from repro.ir.types import RegClass
+from repro.pm import CompilationSession
 from repro.target import tiny
 
 G = RegClass.GPR
@@ -24,7 +25,7 @@ def make_state():
     y = b.addi(x, 1)     # y is block-local
     b.print_(y)
     b.ret()
-    shared = SharedAnalyses.build(fn, tiny())
+    shared = CompilationSession(Module(), tiny()).shared(fn)
     state = ScanState(shared.lifetimes, shared.liveness, shared.cfg)
     return state, x, y
 

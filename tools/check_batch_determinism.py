@@ -7,8 +7,9 @@ change any result.
 The default mode runs the four-allocator comparison over one or more
 benchmark analogs twice — once serially (``jobs=1``, one shared
 compilation session) and once through the process pool (``jobs=2``) —
-and diffs every cell: allocated module text (byte-for-byte), simulated
-output, dynamic instruction and cycle counts, and spill fraction.  The
+and diffs every cell payload (:func:`repro.pm.batch.run_cell`): allocated
+module text (byte-for-byte) and its hash, simulated output and result,
+dynamic instruction and cycle counts, and the spill categories.  The
 first analog is additionally re-checked under seeded stress contexts
 (``STRESS_CONTEXTS``), so the pool path is exercised with a pickled
 non-default :class:`repro.spill.AllocationContext` too.
@@ -51,14 +52,17 @@ from repro.workloads.programs import PROGRAM_NAMES, build_program
 STRESS_CONTEXTS = (AllocationContext(stress="shuffle", seed=7),
                    AllocationContext(stress="forced-evict", seed=7))
 
-#: Fields that must agree between serial and parallel cells (everything
-#: except wall-clock ``alloc_seconds``).
-CHECKED_FIELDS = ("allocator", "dynamic_instructions", "cycles",
-                  "spill_fraction", "output", "result", "module_text")
+#: Payload fields that must agree between serial and parallel cells
+#: (everything deterministic; the metrics snapshot is left out because the
+#: serial path's shared session serves analyses by transfer, which the
+#: per-worker sessions compute instead).
+CHECKED_FIELDS = ("allocator", "code", "allocated_sha", "output", "result",
+                  "dynamic_instructions", "cycles", "spill_categories",
+                  "total_spill", "alloc")
 
 #: Top-level record-data keys that hold wall-clock measurements — the
 #: only fields allowed to differ between a serial and a parallel run.
-TIMING_KEYS = {"profile", "core_seconds", "setup_seconds",
+TIMING_KEYS = {"profile", "alloc_seconds", "core_seconds", "setup_seconds",
                "shared_setup_seconds"}
 
 
@@ -75,20 +79,17 @@ def check_analog(name: str,
                 f"{len(parallel)} parallel"]
     for s, p in zip(serial, parallel):
         for field in CHECKED_FIELDS:
-            sv, pv = getattr(s, field), getattr(p, field)
+            sv, pv = s[field], p[field]
             if sv != pv:
-                shown = (f"{sv!r} != {pv!r}" if field != "module_text"
+                shown = (f"{sv!r} != {pv!r}" if field != "code"
                          else "allocated module text differs")
-                errors.append(f"{tag}/{s.allocator}: {field}: {shown}")
+                errors.append(f"{tag}/{s['allocator']}: {field}: {shown}")
     return errors
 
 
 def _scrub(data: dict) -> dict:
     """Record data with every wall-clock field removed."""
     clean = {k: v for k, v in data.items() if k not in TIMING_KEYS}
-    if isinstance(clean.get("alloc"), dict):
-        clean["alloc"] = {k: v for k, v in clean["alloc"].items()
-                          if k != "alloc_seconds"}
     if isinstance(clean.get("metrics"), dict):
         clean["metrics"] = {k: v for k, v in clean["metrics"].items()
                             if not k.endswith(".seconds")}

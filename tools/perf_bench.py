@@ -8,7 +8,8 @@ any revision:
 * ``sim.*``   — the executing simulator on benchmark analogs and on a
   deterministic fuzz-generated corpus (the Table 1/fuzz dominator);
 * ``e2e.*``   — ``compare_allocators`` end-to-end (what ``repro bench``
-  does: every allocator, allocation + simulation);
+  does: the reference simulation, then every allocator, allocation +
+  simulation + oracle check);
 * ``lifetimes`` — :func:`repro.lifetimes.compute_lifetimes` over every
   analog function (RangeSet construction churn);
 * ``interference`` — graph-coloring allocation (interference build
